@@ -1,34 +1,12 @@
-// gnavigator_cli — command-line front end for the full workflow.
-//
-//   gnavigator_cli --dataset reddit2 --model sage --hw rtx4090
-//                  --priority ex-tm --max-memory-gb 8 --epochs 4
-//                  [--corpus corpus.csv] [--save-corpus corpus.csv]
-//                  [--pipeline sync|async] [--pipeline-depth N]
-//                  [--backend cpu-scalar|cpu-blocked|cpu-arena]
-//                  [--serve-jobs N] [--serve-tenants N]
-//                  [--trace-out trace.json] [--metrics-out metrics.prom]
-//
-// Runs Step 1 (input analysis), Step 2 (guideline generation — reusing a
-// cached profiling corpus when --corpus is given), trains the baseline
-// PyG configuration and the generated guideline, and prints both,
-// including the epoch executor's measured stage/backpressure profile.
-// --pipeline/--pipeline-depth select the epoch executor (equivalent to
-// GNAV_PIPELINE / GNAV_PIPELINE_DEPTH).
-//
-// --serve-jobs N switches Step 3 into multi-tenant serving: N jobs
-// alternating the guideline and the PyG baseline are priced with
-// predict_pipelined_wall_s, admitted, and drained through
-// serve::JobScheduler under fair-share scheduling with --serve-tenants
-// (default 2) concurrently active jobs; per-job price/state and the
-// aggregate jobs/min are printed.
-//
-// --trace-out FILE records every pipeline/cache/serve span of the whole
-// invocation and writes Chrome trace-event JSON (load in Perfetto or
-// chrome://tracing) at exit; --metrics-out FILE writes the Prometheus
-// text exposition of the metrics registry. Either flag alone works.
+// gnavigator_cli — command-line front end for the full workflow. The
+// usage text below (kUsage) is its documentation: `--help` prints it
+// with the compute backends registered at startup, and a bad command
+// line prints it to stderr with exit status 2.
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 
 #include "compute/backend.hpp"
@@ -43,15 +21,80 @@ using namespace gnav;
 
 namespace {
 
-std::map<std::string, std::string> parse_args(int argc, char** argv) {
+constexpr const char* kUsage = R"(usage: gnavigator_cli [--flag value]...
+
+Runs Step 1 (input analysis), Step 2 (guideline generation — reusing a
+cached profiling corpus when --corpus is given), trains the baseline
+PyG configuration and the generated guideline, and prints both,
+including the epoch executor's measured stage/backpressure profile.
+
+  --dataset NAME        ogbn-arxiv | ogbn-products | reddit | reddit2
+                        (default reddit2)
+  --model NAME          gcn | sage | gat (default sage)
+  --hw NAME             rtx4090 | a100 | m90 | constrained
+                        (default rtx4090)
+  --priority NAME       balance | ex-tm | ex-ma | ex-ta (default balance)
+  --max-memory-gb GB    device memory constraint (default: the device's)
+  --max-epoch-s S       epoch time constraint
+  --min-accuracy A      accuracy constraint
+  --epochs N            training epochs (default 4)
+  --corpus FILE         load the profiling corpus instead of profiling
+  --save-corpus FILE    save the freshly profiled corpus
+  --pipeline MODE       epoch executor, sync | async (= GNAV_PIPELINE)
+  --pipeline-depth N    async prefetch depth >= 1 (= GNAV_PIPELINE_DEPTH)
+  --backend ID          compute backend for every run (= GNAV_BACKEND)
+  --serve-jobs N        serve N jobs instead of training (see below)
+  --serve-tenants N     concurrently active serve jobs (default 2)
+  --trace-out FILE      write every span as Chrome trace-event JSON
+  --metrics-out FILE    write the metrics registry as Prometheus text
+  -h, --help            print this text and exit
+
+--serve-jobs N switches Step 3 into multi-tenant serving: N jobs
+alternating the guideline and the PyG baseline are priced with
+predict_pipelined_wall_s, admitted, and drained through
+serve::JobScheduler under fair-share scheduling with --serve-tenants
+concurrently active jobs; per-job price/state and the aggregate
+jobs/min are printed.
+
+--trace-out and --metrics-out record the whole invocation and write
+their files at exit (load the trace in Perfetto or chrome://tracing).
+Either flag alone works.
+)";
+
+/// A malformed command line: main prints the usage and exits 2.
+struct UsageError : Error {
+  using Error::Error;
+};
+
+void print_usage(std::FILE* out) {
+  std::fputs(kUsage, out);
+  std::string ids;
+  for (const std::string& id : compute::BackendFactory::registered_ids()) {
+    ids += (ids.empty() ? "" : " | ") + id;
+  }
+  std::fprintf(out, "\nregistered compute backends: %s (default %s)\n",
+               ids.c_str(), compute::BackendFactory::default_id().c_str());
+}
+
+/// Parses `--flag value` pairs. Returns nullopt for --help / -h.
+std::optional<std::map<std::string, std::string>> parse_args(int argc,
+                                                             char** argv) {
+  static const std::set<std::string> kFlags = {
+      "dataset",    "model",         "hw",             "priority",
+      "epochs",     "max-memory-gb", "max-epoch-s",    "min-accuracy",
+      "corpus",     "save-corpus",   "pipeline",       "pipeline-depth",
+      "backend",    "serve-jobs",    "serve-tenants",  "trace-out",
+      "metrics-out"};
   std::map<std::string, std::string> args;
   for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    if (!starts_with(key, "--")) {
-      throw Error("expected --flag, got '" + key + "'");
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") return std::nullopt;
+    if (!starts_with(arg, "--")) {
+      throw UsageError("expected --flag, got '" + arg + "'");
     }
-    key = key.substr(2);
-    GNAV_CHECK(i + 1 < argc, "flag --" + key + " needs a value");
+    const std::string key = arg.substr(2);
+    if (!kFlags.contains(key)) throw UsageError("unknown flag " + arg);
+    if (i + 1 >= argc) throw UsageError("flag " + arg + " needs a value");
     args[key] = argv[++i];
   }
   return args;
@@ -96,8 +139,20 @@ void print_report(const char* tag, const runtime::TrainReport& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::map<std::string, std::string> args;
   try {
-    const auto args = parse_args(argc, argv);
+    const auto parsed = parse_args(argc, argv);
+    if (!parsed) {
+      print_usage(stdout);
+      return 0;
+    }
+    args = *parsed;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n\n", e.what());
+    print_usage(stderr);
+    return 2;
+  }
+  try {
     const obs::ExportScope telemetry(
         args.contains("trace-out") ? args.at("trace-out") : "",
         args.contains("metrics-out") ? args.at("metrics-out") : "");

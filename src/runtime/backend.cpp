@@ -52,15 +52,6 @@ struct PreparedBatch {
 
 }  // namespace
 
-double PipelineReport::overlap_efficiency() const {
-  PipelineEpochStats s;
-  s.sample_busy_s = sample_wall_s;
-  s.transfer_busy_s = transfer_wall_s;
-  s.compute_busy_s = compute_wall_s;
-  s.wall_s = measured_wall_s;
-  return s.overlap_efficiency();
-}
-
 RuntimeBackend::RuntimeBackend(const graph::Dataset& dataset,
                                hw::HardwareProfile profile)
     : dataset_(&dataset), cost_(std::move(profile)) {
@@ -117,8 +108,8 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
   // evaluations alike) resolves to the requested compute backend. The
   // scope is thread-local, so concurrent jobs on pool workers cannot
   // interfere with each other's selection. Stage closures below
-  // re-establish the scope because the async executor runs them on fresh
-  // stage threads that inherit NO thread-local state — without it they
+  // re-establish the scope because the executor runs them on fresh stage
+  // threads or pool workers that do not inherit it — without it they
   // would fall through to the factory default, which another concurrent
   // process-setup call could be flipping (the multi-tenant isolation
   // contract, see serve/job_scheduler.hpp and compute/backend.hpp).
@@ -234,19 +225,11 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
 
   // Cache-aware bias couples batch i's sampling to batch i-1's cache
   // update through the residency bitmap, so sampling and cache update
-  // cannot parallelize against each other; everything else pre-builds
-  // mini-batches concurrently.
+  // cannot parallelize against each other; everything else builds
+  // mini-batches ahead of the train step.
   const bool biased_sampling = preference != nullptr;
   support::ThreadPool& pool =
       options.pool ? *options.pool : support::global_pool();
-
-  // Epoch executor selection. Both executors produce bit-identical
-  // reports (see RunOptions::pipeline); the async one additionally
-  // overlaps the sample / transfer / compute stages for real and records
-  // the measured overlap next to Eq. 4's prediction.
-  const PipelineConfig& pipe = options.pipeline;
-  const bool async_executor = pipe.mode == PipelineMode::kAsync;
-  PipelineEpochStats run_measured;  // real wall-clock totals, all epochs
   const std::size_t num_batches = batcher.batches_per_epoch();
 
   // --- Algo. 1 main loop ------------------------------------------------
@@ -277,8 +260,8 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
       const auto t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
       Rng batch_rng(support::task_seed(epoch_seed, i));
       auto mb = sampler->sample(ds.graph, seed_batches[i], batch_rng);
-      profiler.add_measured_stage(Profiler::Stage::kSample,
-                                  detail::seconds_since(t0));
+      Profiler::add_measured_stage(Profiler::Stage::kSample,
+                                   detail::seconds_since(t0));
       sampler_batches_metric.add(1);
       return mb;
     };
@@ -394,8 +377,8 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
         labels[s] = ds.labels[static_cast<std::size_t>(
             mb.nodes[static_cast<std::size_t>(mb.seed_local[s])])];
       }
-      profiler.add_measured_stage(Profiler::Stage::kTransfer,
-                                  detail::seconds_since(stage_t0));
+      Profiler::add_measured_stage(Profiler::Stage::kTransfer,
+                                   detail::seconds_since(stage_t0));
       return PreparedBatch{std::move(mb), std::move(x), std::move(labels)};
     };
 
@@ -421,70 +404,18 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
         report.per_batch_nodes.push_back(
             static_cast<double>(p.mb.num_nodes()));
       }
-      profiler.add_measured_stage(Profiler::Stage::kCompute,
-                                  detail::seconds_since(stage_t0));
+      Profiler::add_measured_stage(Profiler::Stage::kCompute,
+                                   detail::seconds_since(stage_t0));
     };
 
-    PipelineEpochStats epoch_measured;
-    if (async_executor) {
-      // Pipelined executor: sampler workers feed the ordered transfer
-      // stage through bounded queues while this thread trains. Biased
-      // sampling chains sample+prepare on one producer (batch i's
-      // sampling must observe batch i-1's cache update) but still
-      // overlaps compute.
-      epoch_measured = run_pipelined_epoch<sampling::MiniBatch, PreparedBatch>(
-          seed_batches.size(), pipe, /*chain_sample_and_prepare=*/
-          biased_sampling, sample_batch, prepare_batch, consume_batch);
-    } else if (biased_sampling) {
-      // Synchronous serial path: sample -> transfer -> compute per batch.
-      // gnav-lint(wall-clock): profiler walls — measured stage seconds.
-      const auto epoch_start = detail::Clock::now();
-      epoch_measured.batches = seed_batches.size();
-      epoch_measured.sampler_workers = 1;
-      for (std::size_t i = 0; i < seed_batches.size(); ++i) {
-        auto t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        sampling::MiniBatch mb = sample_batch(i);
-        epoch_measured.sample_busy_s += detail::seconds_since(t0);
-        t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        PreparedBatch p = prepare_batch(i, std::move(mb));
-        epoch_measured.transfer_busy_s += detail::seconds_since(t0);
-        t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        consume_batch(i, std::move(p));
-        epoch_measured.compute_busy_s += detail::seconds_since(t0);
-      }
-      epoch_measured.wall_s = detail::seconds_since(epoch_start);
-    } else {
-      // Synchronous prefetch path: pool workers build batch i+1..i+w
-      // while the serial transfer/train steps consume batch i (PyG
-      // num_workers-style prefetching). The window caps live mini-batch
-      // memory at ~4 per worker. Only the caller's blocked time counts
-      // as the sampling stage — the builds themselves overlap.
-      // gnav-lint(wall-clock): profiler wall — epoch wall seconds.
-      const auto epoch_start = detail::Clock::now();
-      const std::size_t window = std::max<std::size_t>(8, pool.size() * 4);
-      epoch_measured.batches = seed_batches.size();
-      epoch_measured.sampler_workers = pool.size();
-      epoch_measured.prefetch_depth = window;
-      sampling::MiniBatchLoader loader(*sampler, ds.graph, seed_batches,
-                                       epoch_seed, pool, window);
-      for (std::size_t i = 0; !loader.done(); ++i) {
-        sampling::MiniBatch mb = loader.next();
-        auto t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        PreparedBatch p = prepare_batch(i, std::move(mb));
-        epoch_measured.transfer_busy_s += detail::seconds_since(t0);
-        t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        consume_batch(i, std::move(p));
-        epoch_measured.compute_busy_s += detail::seconds_since(t0);
-      }
-      epoch_measured.sample_busy_s = loader.wait_s();
-      epoch_measured.wall_s = detail::seconds_since(epoch_start);
-    }
-    profiler.record_epoch_measured(epoch_measured);
-    // The async executor publishes its epoch metrics itself; the two
-    // synchronous paths publish here so every executor feeds the same
-    // instruments.
-    if (!async_executor) detail::publish_epoch_metrics(epoch_measured);
-    run_measured.accumulate(epoch_measured);
+    // One executor, three schedules (runtime/pipeline.hpp): all produce
+    // bit-identical reports (see RunOptions::pipeline) and differ only in
+    // the measured walls and stalls accumulated into report.pipeline.
+    report.pipeline.accumulate(
+        run_pipelined_epoch<sampling::MiniBatch, PreparedBatch>(
+            seed_batches.size(), options.pipeline, pool,
+            /*chain_sample_and_prepare=*/biased_sampling, sample_batch,
+            prepare_batch, consume_batch));
     report.pipeline.modeled_overlapped_s +=
         profiler.epoch_modeled_overlapped_s() * time_scale;
     report.pipeline.modeled_sequential_s +=
@@ -545,19 +476,6 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
   report.cache_hit_rate = device_cache.stats().hit_rate();
   report.backend_id = run_backend->id();
   report.device_peak_bytes = run_backend->allocator().peak_bytes();
-
-  // Executor profile: measured wall/stall totals plus the Eq. 4 modeled
-  // pair accumulated per iteration above.
-  report.pipeline.executor = to_string(pipe.mode);
-  report.pipeline.prefetch_depth = run_measured.prefetch_depth;
-  report.pipeline.sampler_workers = run_measured.sampler_workers;
-  report.pipeline.push_stalls = run_measured.push_stalls;
-  report.pipeline.pop_stalls = run_measured.pop_stalls;
-  report.pipeline.mean_queue_occupancy = run_measured.mean_prepared_occupancy;
-  report.pipeline.sample_wall_s = run_measured.sample_busy_s;
-  report.pipeline.transfer_wall_s = run_measured.transfer_busy_s;
-  report.pipeline.compute_wall_s = run_measured.compute_busy_s;
-  report.pipeline.measured_wall_s = run_measured.wall_s;
 
   // Final test evaluation on the full graph.
   {

@@ -30,56 +30,6 @@ class ThreadPool;
 
 namespace gnav::runtime {
 
-/// Execution profile of the epoch executor, totaled over the run. The
-/// modeled_* pair is simulated (cost model, Eq. 4, dataset-scale seconds)
-/// and fully deterministic; everything else is REAL wall-clock and stall
-/// accounting, so it varies run to run like `wall_clock_s` does — it is
-/// exempt from the sync/async bit-identity contract.
-struct PipelineReport {
-  std::string executor = "sync";  // which executor ran ("sync" | "async")
-  std::size_t prefetch_depth = 0;
-  std::size_t sampler_workers = 0;
-
-  /// Backpressure: pushes that waited on a full inter-stage queue.
-  std::uint64_t push_stalls = 0;
-  /// Starvation: pops that waited on an empty inter-stage queue.
-  std::uint64_t pop_stalls = 0;
-  /// Mean pre-push backlog of the compute-facing prefetch queue
-  /// (0..prefetch_depth-1; 0 = compute always kept up, the ROADMAP's
-  /// shrink-the-depth signal).
-  double mean_queue_occupancy = 0.0;
-
-  /// Measured per-stage busy seconds (sync: serial section timings).
-  double sample_wall_s = 0.0;
-  double transfer_wall_s = 0.0;
-  double compute_wall_s = 0.0;
-  /// Measured wall-clock of the training loops (excludes evaluation).
-  double measured_wall_s = 0.0;
-
-  /// Eq. 4 prediction for the same iterations (simulated seconds at
-  /// original dataset scale, like epoch_times_s).
-  double modeled_overlapped_s = 0.0;
-  double modeled_sequential_s = 0.0;
-
-  double measured_sequential_s() const {
-    return sample_wall_s + transfer_wall_s + compute_wall_s;
-  }
-  /// Measured stage-overlap speedup (1.0 = fully serial).
-  double measured_speedup() const {
-    return measured_wall_s > 0.0 ? measured_sequential_s() / measured_wall_s
-                                 : 1.0;
-  }
-  /// Eq. 4's predicted overlap speedup for comparison with the above.
-  double predicted_speedup() const {
-    return modeled_overlapped_s > 0.0
-               ? modeled_sequential_s / modeled_overlapped_s
-               : 1.0;
-  }
-  /// Fraction of the hideable (non-bottleneck) stage time actually
-  /// hidden by overlap: 0 = serial, 1 = wall equals the bottleneck stage.
-  double overlap_efficiency() const;
-};
-
 struct TrainReport {
   /// Mean simulated epoch time (seconds, original-dataset scale) — the T
   /// the paper's Table 1 reports.
@@ -128,9 +78,9 @@ struct RunOptions {
   bool evaluate_every_epoch = true;
   /// Collect per-batch |V_i| samples (Fig. 5 ground truth).
   bool record_batch_sizes = false;
-  /// Pool for concurrent mini-batch construction (nullptr → global pool).
-  /// Results are bit-identical at any pool size: every batch draws from
-  /// its own task_seed-derived RNG.
+  /// Pool the sync executor builds mini-batches ahead on (nullptr →
+  /// global pool). Results are bit-identical at any pool size: every
+  /// batch draws from its own task_seed-derived RNG.
   support::ThreadPool* pool = nullptr;
   /// Compute backend executing every forward/backward in this run (see
   /// compute/backend.hpp; all built-in CPU backends are bit-identical, so

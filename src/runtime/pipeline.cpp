@@ -47,34 +47,37 @@ PipelineConfig default_pipeline_config() {
   return config;
 }
 
-double PipelineEpochStats::overlap_efficiency() const {
-  const double seq = sequential_s();
+double PipelineReport::overlap_efficiency() const {
+  const double seq = measured_sequential_s();
   const double bottleneck = std::max(
-      {sample_busy_s, transfer_busy_s, compute_busy_s});
+      {sample_wall_s, transfer_wall_s, compute_wall_s});
   // `seq - bottleneck` is the hideable time; below it there is nothing a
   // pipeline could overlap (single stage, or empty epoch).
   const double hideable = seq - bottleneck;
   if (hideable <= 0.0) return 0.0;
-  const double hidden = std::clamp(seq - wall_s, 0.0, hideable);
+  const double hidden = std::clamp(seq - measured_wall_s, 0.0, hideable);
   return hidden / hideable;
 }
 
-void PipelineEpochStats::accumulate(const PipelineEpochStats& e) {
-  batches += e.batches;
-  sampler_workers = std::max(sampler_workers, e.sampler_workers);
-  prefetch_depth = std::max(prefetch_depth, e.prefetch_depth);
-  push_stalls += e.push_stalls;
-  pop_stalls += e.pop_stalls;
+void PipelineReport::accumulate(const PipelineReport& epoch) {
+  executor = epoch.executor;
+  batches += epoch.batches;
+  sampler_workers = std::max(sampler_workers, epoch.sampler_workers);
+  prefetch_depth = std::max(prefetch_depth, epoch.prefetch_depth);
+  push_stalls += epoch.push_stalls;
+  pop_stalls += epoch.pop_stalls;
   // Occupancy is a mean, not a count — weight epochs equally by keeping a
   // running average over however many accumulations happened.
   ++occupancy_epochs_;
-  mean_prepared_occupancy +=
-      (e.mean_prepared_occupancy - mean_prepared_occupancy) /
+  mean_queue_occupancy +=
+      (epoch.mean_queue_occupancy - mean_queue_occupancy) /
       static_cast<double>(occupancy_epochs_);
-  sample_busy_s += e.sample_busy_s;
-  transfer_busy_s += e.transfer_busy_s;
-  compute_busy_s += e.compute_busy_s;
-  wall_s += e.wall_s;
+  sample_wall_s += epoch.sample_wall_s;
+  transfer_wall_s += epoch.transfer_wall_s;
+  compute_wall_s += epoch.compute_wall_s;
+  measured_wall_s += epoch.measured_wall_s;
+  modeled_overlapped_s += epoch.modeled_overlapped_s;
+  modeled_sequential_s += epoch.modeled_sequential_s;
 }
 
 namespace detail {
@@ -110,15 +113,15 @@ void TicketGate::abort() {
   cv_.notify_all();
 }
 
-void publish_epoch_metrics(const PipelineEpochStats& stats) {
+void publish_epoch_metrics(const PipelineReport& stats) {
   auto& reg = obs::MetricsRegistry::global();
   // Resolved once per process; the registry hands out stable references.
   static obs::Counter& epochs =
       reg.counter("gnav_pipeline_epochs_total", {},
-                  "Epochs executed by the staged epoch executors");
+                  "Epochs executed by the epoch executor");
   static obs::Counter& batches =
       reg.counter("gnav_pipeline_batches_total", {},
-                  "Mini-batches moved through the epoch executors");
+                  "Mini-batches moved through the epoch executor");
   static obs::Counter& push_stalls = reg.counter(
       "gnav_pipeline_push_stalls_total", {},
       "Queue-full waits across both hand-off queues (backpressure)");
@@ -140,8 +143,8 @@ void publish_epoch_metrics(const PipelineEpochStats& stats) {
   batches.add(stats.batches);
   push_stalls.add(stats.push_stalls);
   pop_stalls.add(stats.pop_stalls);
-  occupancy.observe(stats.mean_prepared_occupancy);
-  wall.set(stats.wall_s);
+  occupancy.observe(stats.mean_queue_occupancy);
+  wall.set(stats.measured_wall_s);
   efficiency.set(stats.overlap_efficiency());
 }
 

@@ -1,7 +1,16 @@
-// Pipelined epoch executor — the real (wall-clock) counterpart of the
-// cost model's Eq. 4. The synchronous runtime executes Algo. 1 strictly
-// in sequence; this subsystem runs each epoch as a staged
-// producer/consumer pipeline over bounded StagedQueues:
+// Epoch executor — the real (wall-clock) counterpart of the cost model's
+// Eq. 4, and the only driver of Algo. 1's per-batch loop. Every epoch
+// runs the same three callbacks (sample -> prepare -> consume) under one
+// of three schedules, picked from PipelineConfig::mode and whether
+// sampling batch i must observe prepare(i-1)'s side effects:
+//
+//   sync + chained   inline on the caller, zero threads:
+//                    sample(i) -> prepare(i) -> consume(i).
+//   sync             sample(i) runs on the run's ThreadPool, a bounded
+//                    window of batches ahead (PyG num_workers-style);
+//                    prepare and consume run inline on the caller.
+//   async            a staged producer/consumer pipeline over bounded
+//                    StagedQueues:
 //
 //   [sampler worker xN] --> sampled queue --> [transfer/cache stage]
 //        --> prepared queue --> [compute stage, calling thread]
@@ -13,7 +22,7 @@
 //   - The transfer stage reorders out-of-order arrivals and applies
 //     device-cache admissions, cost-model accounting, and feature
 //     staging in STRICT batch order — the cache hit/miss sequence is
-//     bit-identical to the synchronous path.
+//     bit-identical to the synchronous schedules.
 //   - The compute stage (the caller's thread) trains on batch i while
 //     batches i+1..i+depth are in flight; optimizer steps and the
 //     dropout RNG stream stay serialized by batch index.
@@ -29,23 +38,25 @@
 // Cache-aware biased sampling couples batch i's sampling to batch i-1's
 // cache update through the residency bitmap, so its sample+transfer
 // stages cannot parallelize; `chain_sample_and_prepare` collapses them
-// into one producer thread (sample(i) observes exactly the post-update
-// residency of batch i-1, as in the synchronous path) that still
-// overlaps the compute stage.
+// into one producer (sample(i) observes exactly the post-update residency
+// of batch i-1): the caller itself under sync, one producer thread that
+// still overlaps the compute stage under async.
 //
 // Determinism contract: only wall-clock observables (stage busy seconds,
-// stall counts, queue occupancy) depend on thread count and prefetch
-// depth. Everything data-bearing — batches, cache state sequence, loss
-// trajectory, profiler phase sums — is bit-identical to the synchronous
-// executor because every side-effecting callback runs in strict batch
-// order on a single stage.
+// stall counts, queue occupancy) depend on the schedule, thread count and
+// prefetch depth. Everything data-bearing — batches, cache state
+// sequence, loss trajectory, profiler phase sums — is bit-identical
+// across schedules because every side-effecting callback runs in strict
+// batch order on a single stage.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <exception>
+#include <future>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -86,47 +97,63 @@ struct PipelineConfig {
 /// silently misconfiguring the executor.
 PipelineConfig default_pipeline_config();
 
-/// Measured (real wall-clock, NOT simulated) execution profile of one
-/// epoch. Busy seconds are summed over the calls each stage made; for
-/// the synchronous executor "sample busy" is the time the caller spent
-/// blocked waiting on mini-batch construction.
-struct PipelineEpochStats {
-  std::uint64_t batches = 0;
-  std::size_t sampler_workers = 0;
+/// Execution profile of the epoch executor: one epoch as
+/// run_pipelined_epoch returns it, or a run's total after accumulate().
+/// The modeled_* pair is simulated (cost model, Eq. 4, dataset-scale
+/// seconds; RuntimeBackend fills it) and fully deterministic; everything
+/// else is REAL wall-clock and stall accounting, so it varies run to run —
+/// it is exempt from the cross-schedule bit-identity contract.
+struct PipelineReport {
+  std::string executor = "sync";  // which executor ran ("sync" | "async")
   std::size_t prefetch_depth = 0;
-  /// Queue-full waits across both hand-off queues (backpressure: the
-  /// downstream stage was the bottleneck).
-  std::uint64_t push_stalls = 0;
-  /// Queue-empty waits across both hand-off queues (starvation: the
-  /// upstream stage was the bottleneck).
-  std::uint64_t pop_stalls = 0;
-  /// Mean backlog of the compute-facing (prepared) queue, sampled before
-  /// every push (the just-pushed item never counts) — near depth-1 means
-  /// compute-bound (always full), 0 means compute drained every batch
-  /// immediately (sample/transfer-bound).
-  double mean_prepared_occupancy = 0.0;
+  std::size_t sampler_workers = 0;
+  std::uint64_t batches = 0;
 
-  double sample_busy_s = 0.0;
-  double transfer_busy_s = 0.0;
-  double compute_busy_s = 0.0;
-  double wall_s = 0.0;
+  /// Backpressure: pushes that waited on a full inter-stage queue.
+  std::uint64_t push_stalls = 0;
+  /// Starvation: pops that waited on an empty inter-stage queue.
+  std::uint64_t pop_stalls = 0;
+  /// Mean pre-push backlog of the compute-facing prefetch queue
+  /// (0..prefetch_depth-1; near depth-1 = compute-bound, 0 = compute
+  /// always kept up — the shrink-the-depth signal).
+  double mean_queue_occupancy = 0.0;
+
+  /// Measured per-stage busy seconds, summed over the calls each stage
+  /// made. Under the sync pool schedule "sample" is the time the caller
+  /// spent blocked waiting on mini-batch construction.
+  double sample_wall_s = 0.0;
+  double transfer_wall_s = 0.0;
+  double compute_wall_s = 0.0;
+  /// Measured wall-clock of the training loops (excludes evaluation).
+  double measured_wall_s = 0.0;
+
+  /// Eq. 4 prediction for the same iterations (simulated seconds at
+  /// original dataset scale, like TrainReport::epoch_times_s).
+  double modeled_overlapped_s = 0.0;
+  double modeled_sequential_s = 0.0;
 
   /// What a strictly serial execution of the same stage work would cost.
-  double sequential_s() const {
-    return sample_busy_s + transfer_busy_s + compute_busy_s;
+  double measured_sequential_s() const {
+    return sample_wall_s + transfer_wall_s + compute_wall_s;
   }
-  /// Measured pipeline speedup: serial stage work over actual wall time.
+  /// Measured stage-overlap speedup (1.0 = fully serial).
   double measured_speedup() const {
-    return wall_s > 0.0 ? sequential_s() / wall_s : 1.0;
+    return measured_wall_s > 0.0 ? measured_sequential_s() / measured_wall_s
+                                 : 1.0;
   }
-  /// Fraction of the theoretically hideable time that was actually
-  /// hidden: 1 when wall == bottleneck stage (perfect overlap), 0 when
-  /// wall == sum of stages (fully serial).
+  /// Eq. 4's predicted overlap speedup for comparison with the above.
+  double predicted_speedup() const {
+    return modeled_overlapped_s > 0.0
+               ? modeled_sequential_s / modeled_overlapped_s
+               : 1.0;
+  }
+  /// Fraction of the hideable (non-bottleneck) stage time actually
+  /// hidden by overlap: 0 = serial, 1 = wall equals the bottleneck stage.
   double overlap_efficiency() const;
 
-  /// Accumulate (epoch totals -> run totals). Counters and busy seconds
-  /// sum; mean occupancy stays a mean over the accumulated epochs.
-  void accumulate(const PipelineEpochStats& e);
+  /// Accumulate (epoch totals -> run totals). Counters and seconds sum;
+  /// mean occupancy stays a mean over the accumulated epochs.
+  void accumulate(const PipelineReport& epoch);
 
  private:
   std::uint64_t occupancy_epochs_ = 0;
@@ -195,34 +222,68 @@ class ErrorLatch {
 /// Publishes one epoch's measured stats to the obs metrics registry
 /// (stall counters, occupancy histogram, wall/overlap gauges). No-op
 /// cost when metrics are disabled beyond a relaxed load per instrument.
-void publish_epoch_metrics(const PipelineEpochStats& stats);
+void publish_epoch_metrics(const PipelineReport& stats);
 
-}  // namespace detail
-
-/// Runs one epoch of `num_batches` mini-batches as an asynchronous
-/// pipeline and returns its measured stats.
-///
-///   sample:  (std::size_t i) -> Sampled.   Thread-safe; called from
-///            dedicated worker threads in arbitrary index order (must
-///            seed per index, never from shared state).
-///   prepare: (std::size_t i, Sampled&&) -> Prepared.  Called in strict
-///            batch order from one transfer thread (cache updates,
-///            profiler accounting, feature staging).
-///   consume: (std::size_t i, Prepared&&) -> void.  Called in strict
-///            batch order on the calling thread (train step).
-///
-/// With `chain_sample_and_prepare` the sample and prepare callbacks run
-/// back-to-back on one producer thread (required when sampling batch i
-/// reads state written by prepare(i-1), e.g. cache-aware bias).
-/// Exceptions from any stage shut the pipeline down and rethrow here.
+/// The two synchronous schedules: prepare and consume run inline on the
+/// caller in batch order. Chained, sample(i) runs inline too; otherwise
+/// it runs on `pool`, a window of batches ahead, and the sample stage's
+/// busy time is the caller's blocked wait.
 template <typename Sampled, typename Prepared, typename SampleFn,
           typename PrepareFn, typename ConsumeFn>
-PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
-                                       const PipelineConfig& config,
-                                       bool chain_sample_and_prepare,
-                                       SampleFn&& sample, PrepareFn&& prepare,
-                                       ConsumeFn&& consume) {
-  using namespace detail;
+void run_sync_epoch(std::size_t num_batches, support::ThreadPool& pool,
+                    bool chain_sample_and_prepare, SampleFn& sample,
+                    PrepareFn& prepare, ConsumeFn& consume,
+                    PipelineReport& stats) {
+  // The window caps live prefetched mini-batches at ~4 per pool worker.
+  const std::size_t window =
+      chain_sample_and_prepare ? 0
+                               : std::max<std::size_t>(8, 4 * pool.size());
+  stats.sampler_workers = chain_sample_and_prepare ? 1 : pool.size();
+  stats.prefetch_depth = window;
+  std::deque<std::future<Sampled>> pending;
+  std::size_t submitted = 0;
+  const auto top_up = [&] {
+    while (submitted < num_batches && pending.size() < window) {
+      const std::size_t i = submitted++;
+      pending.push_back(pool.submit([&sample, i] { return sample(i); }));
+    }
+  };
+  try {
+    top_up();
+    for (std::size_t i = 0; i < num_batches; ++i) {
+      std::future<Sampled> built;
+      if (!chain_sample_and_prepare) {
+        built = std::move(pending.front());
+        pending.pop_front();
+        top_up();
+      }
+      auto t0 = Clock::now();  // gnav-lint(wall-clock): profiler wall
+      Sampled s = chain_sample_and_prepare ? sample(i) : built.get();
+      stats.sample_wall_s += seconds_since(t0);
+      t0 = Clock::now();  // gnav-lint(wall-clock): profiler wall
+      Prepared p = prepare(i, std::move(s));
+      stats.transfer_wall_s += seconds_since(t0);
+      t0 = Clock::now();  // gnav-lint(wall-clock): profiler wall
+      consume(i, std::move(p));
+      stats.compute_wall_s += seconds_since(t0);
+    }
+  } catch (...) {
+    // In-flight builds call `sample` by reference: wait them out before
+    // the caller's closures go out of scope.
+    for (auto& f : pending) f.wait();
+    throw;
+  }
+}
+
+/// The async schedule: sampler workers (or, chained, one sample+prepare
+/// producer) feed the ordered transfer stage through bounded queues on
+/// dedicated threads while the caller runs the compute stage.
+template <typename Sampled, typename Prepared, typename SampleFn,
+          typename PrepareFn, typename ConsumeFn>
+void run_async_epoch(std::size_t num_batches, const PipelineConfig& config,
+                     bool chain_sample_and_prepare, SampleFn& sample,
+                     PrepareFn& prepare, ConsumeFn& consume,
+                     PipelineReport& stats) {
   struct IndexedSampled {
     std::size_t index;
     Sampled value;
@@ -232,12 +293,8 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
     Prepared value;
   };
 
-  PipelineEpochStats stats;
-  stats.batches = num_batches;
   const std::size_t depth = std::max<std::size_t>(1, config.prefetch_depth);
   stats.prefetch_depth = depth;
-  if (num_batches == 0) return stats;
-
   support::StagedQueue<IndexedSampled> sampled(depth);
   support::StagedQueue<IndexedPrepared> prepared(depth);
   TicketGate gate(num_batches, depth);
@@ -250,7 +307,6 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
 
   std::mutex busy_mutex;  // folds per-thread busy timers into `stats`
   std::vector<std::thread> threads;
-  const auto epoch_start = Clock::now();  // gnav-lint(wall-clock): profiler wall
 
   if (chain_sample_and_prepare) {
     // Two stages: one producer runs the serial sample->prepare chain (so
@@ -276,8 +332,8 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
         }
         prepared.close();
         std::lock_guard<std::mutex> lock(busy_mutex);
-        stats.sample_busy_s += sample_busy;
-        stats.transfer_busy_s += transfer_busy;
+        stats.sample_wall_s += sample_busy;
+        stats.transfer_wall_s += transfer_busy;
       } catch (...) {
         latch.fire(std::current_exception(), shutdown);
       }
@@ -303,7 +359,7 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
             if (!sampled.push({*ticket, std::move(s)})) break;
           }
           std::lock_guard<std::mutex> lock(busy_mutex);
-          stats.sample_busy_s += sample_busy;
+          stats.sample_wall_s += sample_busy;
         } catch (...) {
           latch.fire(std::current_exception(), shutdown);
         }
@@ -343,7 +399,7 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
         }
         prepared.close();
         std::lock_guard<std::mutex> lock(busy_mutex);
-        stats.transfer_busy_s += transfer_busy;
+        stats.transfer_wall_s += transfer_busy;
       } catch (...) {
         latch.fire(std::current_exception(), shutdown);
       }
@@ -359,7 +415,7 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
                  "pipeline delivered batches out of order");
       const auto t0 = Clock::now();  // gnav-lint(wall-clock): profiler wall
       consume(item->index, std::move(item->value));
-      stats.compute_busy_s += seconds_since(t0);
+      stats.compute_wall_s += seconds_since(t0);
       ++expect;
       ++consumed;
     }
@@ -376,8 +432,56 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
   const auto pq = prepared.stats();
   stats.push_stalls = sq.push_stalls + pq.push_stalls;
   stats.pop_stalls = sq.pop_stalls + pq.pop_stalls;
-  stats.mean_prepared_occupancy = pq.mean_occupancy();
-  stats.wall_s = seconds_since(epoch_start);
+  stats.mean_queue_occupancy = pq.mean_occupancy();
+}
+
+}  // namespace detail
+
+/// Runs one epoch of `num_batches` mini-batches under the schedule that
+/// `config.mode` and `chain_sample_and_prepare` select (see the header
+/// comment) and returns its measured stats.
+///
+///   sample:  (std::size_t i) -> Sampled.   Thread-safe; may be called
+///            from pool workers or dedicated threads in arbitrary index
+///            order (must seed per index, never from shared state).
+///   prepare: (std::size_t i, Sampled&&) -> Prepared.  Called in strict
+///            batch order from one stage (cache updates, profiler
+///            accounting, feature staging).
+///   consume: (std::size_t i, Prepared&&) -> void.  Called in strict
+///            batch order on the calling thread (train step).
+///
+/// With `chain_sample_and_prepare` the sample and prepare callbacks run
+/// back-to-back on one producer (required when sampling batch i reads
+/// state written by prepare(i-1), e.g. cache-aware bias). `pool` builds
+/// mini-batches ahead under the unchained sync schedule. Exceptions from
+/// any stage stop the epoch, wait out every in-flight callback and
+/// rethrow here.
+template <typename Sampled, typename Prepared, typename SampleFn,
+          typename PrepareFn, typename ConsumeFn>
+PipelineReport run_pipelined_epoch(std::size_t num_batches,
+                                   const PipelineConfig& config,
+                                   support::ThreadPool& pool,
+                                   bool chain_sample_and_prepare,
+                                   SampleFn&& sample, PrepareFn&& prepare,
+                                   ConsumeFn&& consume) {
+  PipelineReport stats;
+  stats.executor = to_string(config.mode);
+  stats.batches = num_batches;
+  if (num_batches == 0) return stats;
+
+  const auto epoch_start = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
+  if (config.mode == PipelineMode::kAsync) {
+    detail::run_async_epoch<Sampled, Prepared>(num_batches, config,
+                                               chain_sample_and_prepare,
+                                               sample, prepare, consume,
+                                               stats);
+  } else {
+    detail::run_sync_epoch<Sampled, Prepared>(num_batches, pool,
+                                              chain_sample_and_prepare,
+                                              sample, prepare, consume,
+                                              stats);
+  }
+  stats.measured_wall_s = detail::seconds_since(epoch_start);
   detail::publish_epoch_metrics(stats);
   return stats;
 }

@@ -8,7 +8,7 @@ namespace gnav::runtime {
 
 namespace {
 
-/// Registry instruments fed by the live measured-stage stream. Resolved
+/// Registry instruments fed by the measured-stage stream. Resolved
 /// once; the gauges are cumulative busy seconds per stage across the
 /// process (Prometheus counters are integral here, so second-sums are
 /// gauges — see obs/metrics.hpp).
@@ -52,29 +52,7 @@ void Profiler::record_device_memory(double bytes) {
   peak_device_bytes_ = std::max(peak_device_bytes_, bytes);
 }
 
-void Profiler::record_epoch_measured(const PipelineEpochStats& measured) {
-  const support::MutexLock lock(measured_mu_);
-  measured_ = measured;
-}
-
 void Profiler::add_measured_stage(Stage stage, double busy_s) {
-  {
-    const support::MutexLock lock(measured_mu_);
-    switch (stage) {
-      case Stage::kSample:
-        live_.sample_busy_s += busy_s;
-        break;
-      case Stage::kTransfer:
-        live_.transfer_busy_s += busy_s;
-        break;
-      case Stage::kCompute:
-        live_.compute_busy_s += busy_s;
-        ++live_.batches;
-        break;
-    }
-  }
-  // Metrics outside the lock: instrument updates are atomic and the
-  // registry gauge is process-cumulative, not per-epoch.
   StageInstruments& ins = stage_instruments();
   switch (stage) {
     case Stage::kSample:
@@ -97,19 +75,6 @@ void Profiler::reset_epoch() {
   epoch_modeled_sequential_s_ = 0.0;
   // peak_device_bytes_ persists: it is a run-level high-water mark.
   iterations_ = 0;
-  const support::MutexLock lock(measured_mu_);
-  measured_ = PipelineEpochStats{};
-  live_ = PipelineEpochStats{};
-}
-
-PipelineEpochStats Profiler::epoch_measured() const {
-  const support::MutexLock lock(measured_mu_);
-  return measured_;
-}
-
-PipelineEpochStats Profiler::measured_snapshot() const {
-  const support::MutexLock lock(measured_mu_);
-  return live_;
 }
 
 }  // namespace gnav::runtime

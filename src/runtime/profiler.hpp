@@ -7,32 +7,28 @@
 //               accumulated every iteration, so the predicted overlap
 //               benefit (sequential / overlapped) is always available,
 //               independent of which one counts toward epoch_wall_s().
-//   measured  — real wall-clock seconds. Two granularities: the epoch
-//               executor (runtime/pipeline.hpp) reports authoritative
-//               per-epoch totals at record_epoch_measured, and the stage
-//               callbacks additionally stream per-batch stage walls
-//               through add_measured_stage as they complete, so
-//               measured_snapshot() has a LIVE mid-epoch view (what the
-//               metrics gauges and any drift monitor read) instead of
-//               waiting for the epoch boundary. Comparing the measured
-//               speedup against the modeled ratio is what lets the
-//               estimator's f_overlapping correction be fit from data
+//   measured  — real wall-clock seconds. The stage callbacks stream each
+//               batch's stage wall through add_measured_stage into the
+//               metrics registry (gnav_stage_busy_seconds_total and
+//               gnav_batches_trained_total) as they complete. The
+//               authoritative per-epoch totals are the epoch executor's
+//               PipelineReport (runtime/pipeline.hpp), which the runtime
+//               accumulates into TrainReport::pipeline; comparing its
+//               measured speedup against the modeled ratio is what lets
+//               the estimator's f_overlapping correction be fit from data
 //               instead of assumed.
 //
 // Memory is analytic bytes tracked against the device budget.
 //
 // Threading: the modeled accumulators (record_iteration, phases, memory)
-// are written by the single ordered transfer stage — no lock. The
-// measured state is written concurrently by stage threads
-// (add_measured_stage) and read mid-epoch (measured_snapshot), so it is
-// mutex-guarded and every accessor snapshots BY VALUE.
+// are written by the single ordered transfer stage — no lock.
+// add_measured_stage is called concurrently by stage threads and pool
+// workers; it only touches atomic metric instruments.
 #pragma once
 
 #include <cstdint>
 
 #include "hw/cost_model.hpp"
-#include "runtime/pipeline.hpp"
-#include "support/thread_safety.hpp"
 
 namespace gnav::runtime {
 
@@ -61,19 +57,12 @@ class Profiler {
   /// Tracks the device-memory high-water mark (bytes).
   void record_device_memory(double bytes);
 
-  /// Records the executor's REAL measured profile of the epoch that just
-  /// ran (wall-clock, not simulated) — the authoritative epoch totals.
-  void record_epoch_measured(const PipelineEpochStats& measured)
-      GNAV_EXCLUDES(measured_mu_);
+  /// Streams one batch's measured stage wall to the metrics registry as
+  /// it completes. Thread-safe. kCompute additionally counts the batch as
+  /// trained.
+  static void add_measured_stage(Stage stage, double busy_s);
 
-  /// Streams one batch's measured stage wall as it completes. Thread-safe
-  /// (stage threads call it concurrently); feeds the live mid-epoch view
-  /// returned by measured_snapshot(). kCompute additionally counts the
-  /// batch as finished.
-  void add_measured_stage(Stage stage, double busy_s)
-      GNAV_EXCLUDES(measured_mu_);
-
-  void reset_epoch() GNAV_EXCLUDES(measured_mu_);
+  void reset_epoch();
 
   double epoch_wall_s() const { return epoch_wall_s_; }
   /// Eq. 4 epoch time with the max() overlap applied every iteration.
@@ -84,14 +73,6 @@ class Profiler {
   double epoch_modeled_sequential_s() const {
     return epoch_modeled_sequential_s_;
   }
-  /// Authoritative end-of-epoch measured totals (what the executor
-  /// reported); zero stats mid-epoch. BY VALUE.
-  PipelineEpochStats epoch_measured() const GNAV_EXCLUDES(measured_mu_);
-  /// LIVE measured stage walls accumulated so far this epoch via
-  /// add_measured_stage — valid mid-epoch, BY VALUE. `batches` counts
-  /// compute-finished batches; stall/occupancy fields stay zero (those
-  /// exist only at epoch granularity).
-  PipelineEpochStats measured_snapshot() const GNAV_EXCLUDES(measured_mu_);
   PhaseBreakdown epoch_phases() const { return epoch_phases_; }
   double peak_device_bytes() const { return peak_device_bytes_; }
   std::uint64_t iterations() const { return iterations_; }
@@ -103,10 +84,6 @@ class Profiler {
   double epoch_modeled_sequential_s_ = 0.0;
   double peak_device_bytes_ = 0.0;
   std::uint64_t iterations_ = 0;
-
-  mutable support::Mutex measured_mu_;
-  PipelineEpochStats measured_ GNAV_GUARDED_BY(measured_mu_);
-  PipelineEpochStats live_ GNAV_GUARDED_BY(measured_mu_);
 };
 
 }  // namespace gnav::runtime

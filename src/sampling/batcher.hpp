@@ -2,22 +2,13 @@
 // (Algo. 1 line 1). A fresh shuffle per epoch reproduces PyG's
 // NeighborLoader(shuffle=True) behavior.
 //
-// `MiniBatchLoader` is the parallel front half of the training loop: it
-// expands seed batches into mini-batch subgraphs on the thread pool,
-// keeping a bounded prefetch window in flight so workers build batch
-// i+1..i+w while the (inherently serial) train step consumes batch i —
-// PyG num_workers-style. One deterministic RNG per batch index makes the
-// stream bit-identical at any thread count.
+// Expanding the batches into mini-batch subgraphs (on the thread pool
+// or inline) is the epoch executor's job, runtime/pipeline.hpp.
 #pragma once
 
-#include <cstdint>
-#include <deque>
-#include <future>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "sampling/sampler.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace gnav::sampling {
@@ -40,51 +31,6 @@ class SeedBatcher {
  private:
   std::vector<graph::NodeId> train_nodes_;
   std::size_t batch_size_;
-};
-
-/// Streams the epoch's mini-batches in order while up to `window` of them
-/// build concurrently on `pool`. Batch i draws from
-/// Rng(task_seed(epoch_seed, i)), so the stream does not depend on thread
-/// count or scheduling order. The sampler must be bias-free (cache-aware
-/// bias couples consecutive batches through device-cache residency and
-/// needs the serial path). The referenced sampler, graph, and seed
-/// batches must outlive the loader; the destructor drains outstanding
-/// builds.
-class MiniBatchLoader {
- public:
-  MiniBatchLoader(const Sampler& sampler, const graph::CsrGraph& g,
-                  const std::vector<std::vector<graph::NodeId>>& seed_batches,
-                  std::uint64_t epoch_seed, support::ThreadPool& pool,
-                  std::size_t window);
-  ~MiniBatchLoader();
-
-  MiniBatchLoader(const MiniBatchLoader&) = delete;
-  MiniBatchLoader& operator=(const MiniBatchLoader&) = delete;
-
-  bool done() const { return pending_.empty(); }
-
-  /// Next mini-batch in seed-batch order (blocks on its build if needed;
-  /// rethrows the build's exception). Tops the prefetch window back up.
-  MiniBatch next();
-
-  /// Total real seconds `next()` spent blocked waiting on in-flight
-  /// builds — the consumer-visible cost of the sampling stage (the
-  /// builds themselves run overlapped on the pool). The runtime backend
-  /// reports this as the synchronous executor's sample wall time.
-  double wait_s() const { return wait_s_; }
-
- private:
-  void top_up();
-
-  const Sampler* sampler_;
-  const graph::CsrGraph* graph_;
-  const std::vector<std::vector<graph::NodeId>>* seed_batches_;
-  std::uint64_t epoch_seed_;
-  support::ThreadPool* pool_;
-  std::size_t window_;
-  std::size_t next_index_ = 0;
-  double wait_s_ = 0.0;
-  std::deque<std::future<MiniBatch>> pending_;
 };
 
 }  // namespace gnav::sampling

@@ -33,11 +33,12 @@ constexpr std::size_t kParallelEdgeThreshold = 1 << 14;
 
 void for_each_row(std::size_t n, std::size_t total_slots,
                   const std::function<void(std::size_t)>& body) {
-  // On a pool worker (MiniBatchLoader prefetching — possibly on a
-  // caller-provided pool) parallel_for would run inline anyway; loop
-  // directly so the process-wide global pool is never instantiated on
-  // behalf of someone else's pool. Only the serial sampling path (e.g.
-  // cache-aware bias) fans rows out, and it has no pool handle of its
+  // On a pool worker (the sync epoch executor building batches ahead —
+  // possibly on a caller-provided pool) or an async stage thread,
+  // parallel_for would run inline anyway; loop directly so the
+  // process-wide global pool is never instantiated on behalf of someone
+  // else's pool. Only the inline chained schedule (cache-aware bias under
+  // the sync executor) fans rows out, and it has no pool handle of its
   // own, so the global pool is the right one there.
   if (total_slots < kParallelEdgeThreshold ||
       support::ThreadPool::in_worker()) {

@@ -1,11 +1,10 @@
-// Unit tests for CSR graphs, builders, induced subgraphs, profiling,
-// and reordering.
+// Unit tests for CSR graphs, builders, induced subgraphs, and
+// profiling.
 #include <gtest/gtest.h>
 
 #include "graph/csr_graph.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/graph_stats.hpp"
-#include "graph/reorder.hpp"
 #include "support/error.hpp"
 
 namespace gnav::graph {
@@ -126,53 +125,6 @@ TEST(DegreeCacheCoverage, MonotoneInRatio) {
   }
   EXPECT_DOUBLE_EQ(degree_cache_coverage(g, 1.0), 1.0);
   EXPECT_THROW(degree_cache_coverage(g, 1.5), Error);
-}
-
-TEST(Reorder, DegreeDescendingOrder) {
-  const CsrGraph g = triangle_plus_leaf();
-  const auto perm = degree_descending_order(g);
-  EXPECT_EQ(perm[0], 2);  // highest degree first
-  for (std::size_t i = 1; i < perm.size(); ++i) {
-    EXPECT_GE(g.degree(perm[i - 1]), g.degree(perm[i]));
-  }
-}
-
-TEST(Reorder, BfsCoversDisconnectedComponents) {
-  GraphBuilder b(5);
-  b.add_undirected_edge(0, 1);
-  b.add_undirected_edge(3, 4);  // island {3,4}, isolated {2}
-  const auto order = bfs_order(b.build(), 0);
-  EXPECT_EQ(order.size(), 5u);
-  std::vector<NodeId> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, (std::vector<NodeId>{0, 1, 2, 3, 4}));
-}
-
-TEST(Reorder, ApplyPermutationPreservesStructure) {
-  const CsrGraph g = triangle_plus_leaf();
-  const auto perm = degree_descending_order(g);
-  const CsrGraph h = apply_permutation(g, perm);
-  EXPECT_EQ(h.num_nodes(), g.num_nodes());
-  EXPECT_EQ(h.num_edges(), g.num_edges());
-  // degree multiset preserved
-  auto dg = g.degrees();
-  auto dh = h.degrees();
-  std::sort(dg.begin(), dg.end());
-  std::sort(dh.begin(), dh.end());
-  EXPECT_EQ(dg, dh);
-  // new vertex 0 is the old hub
-  EXPECT_EQ(h.degree(0), g.degree(2));
-}
-
-TEST(Reorder, InvertPermutationRoundTrip) {
-  const std::vector<NodeId> perm = {2, 0, 3, 1};
-  const auto inv = invert_permutation(perm);
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    EXPECT_EQ(inv[static_cast<std::size_t>(perm[i])],
-              static_cast<NodeId>(i));
-  }
-  EXPECT_THROW(invert_permutation({0, 0}), Error);
-  EXPECT_THROW(invert_permutation({0, 5}), Error);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the from-scratch ML library: decision tree, random forest,
+// Tests for the from-scratch ML library: decision tree,
 // gradient boosting, ridge regression, metrics, and splits.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "ml/decision_tree.hpp"
 #include "ml/gradient_boosting.hpp"
 #include "ml/metrics.hpp"
-#include "ml/random_forest.hpp"
 #include "ml/ridge.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -93,34 +92,6 @@ TEST(DecisionTree, ErrorsOnBadInput) {
   EXPECT_THROW(tree.predict_one({1.0}), Error);  // before fit
   Matrix ragged = {{1.0, 2.0}, {1.0}};
   EXPECT_THROW(tree.fit(ragged, {1.0, 2.0}), Error);
-}
-
-TEST(RandomForest, BeatsSingleStumpOnNoisyData) {
-  Matrix x;
-  std::vector<double> y;
-  make_step_data(400, 3, &x, &y);
-  Matrix xt;
-  std::vector<double> yt;
-  make_step_data(100, 4, &xt, &yt);
-  ForestParams fp;
-  fp.num_trees = 20;
-  RandomForestRegressor forest(fp);
-  forest.fit(x, y);
-  EXPECT_EQ(forest.tree_count(), 20u);
-  EXPECT_GT(r2_score(yt, forest.predict(xt)), 0.9);
-}
-
-TEST(RandomForest, DeterministicWithSeed) {
-  Matrix x;
-  std::vector<double> y;
-  make_step_data(150, 5, &x, &y);
-  ForestParams fp;
-  fp.seed = 9;
-  RandomForestRegressor a(fp);
-  RandomForestRegressor b(fp);
-  a.fit(x, y);
-  b.fit(x, y);
-  EXPECT_DOUBLE_EQ(a.predict_one({0.3, 0.3}), b.predict_one({0.3, 0.3}));
 }
 
 TEST(GradientBoosting, FitsLinearTarget) {

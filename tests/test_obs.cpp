@@ -463,32 +463,77 @@ TEST(ObsContract, MetricSnapshotDeterministicAcrossPoolSizes) {
   const auto deterministic = [](const std::string& name) {
     return name.rfind("gnav_cache_", 0) == 0 ||
            name.rfind("gnav_sampler_batches_total", 0) == 0 ||
+           name.rfind("gnav_batches_trained_total", 0) == 0 ||
            name.rfind("gnav_pipeline_epochs_total", 0) == 0 ||
            name.rfind("gnav_pipeline_batches_total", 0) == 0;
   };
 
-  std::map<std::string, double> reference;
-  for (const std::size_t pool_size : {1u, 2u, 8u}) {
-    support::ThreadPool pool(pool_size);
-    runtime::RunOptions opts = async_run_options();
-    opts.pool = &pool;
+  // The async executor samples on its own stage threads, the sync one on
+  // the run's pool: both must publish the same data-bearing values at
+  // every pool size.
+  for (const runtime::PipelineMode mode :
+       {runtime::PipelineMode::kAsync, runtime::PipelineMode::kSync}) {
+    std::map<std::string, double> reference;
+    for (const std::size_t pool_size : {1u, 2u, 8u}) {
+      support::ThreadPool pool(pool_size);
+      runtime::RunOptions opts = async_run_options();
+      opts.pipeline.mode = mode;
+      opts.pool = &pool;
 
-    const TelemetryOn on;
-    MetricsRegistry::global().reset_values();
-    backend.run(config, opts);
+      const TelemetryOn on;
+      MetricsRegistry::global().reset_values();
+      backend.run(config, opts);
 
-    std::map<std::string, double> got;
-    for (const auto& s : MetricsRegistry::global().snapshot()) {
-      if (deterministic(s.name)) got[s.name] = s.value;
-    }
-    ASSERT_FALSE(got.empty());
-    EXPECT_GT(got.count("gnav_pipeline_batches_total"), 0u);
-    if (reference.empty()) {
-      reference = got;
-    } else {
-      EXPECT_EQ(reference, got) << "pool size " << pool_size;
+      std::map<std::string, double> got;
+      for (const auto& s : MetricsRegistry::global().snapshot()) {
+        if (deterministic(s.name)) got[s.name] = s.value;
+      }
+      ASSERT_FALSE(got.empty());
+      EXPECT_GT(got.count("gnav_pipeline_batches_total"), 0u);
+      if (reference.empty()) {
+        reference = got;
+      } else {
+        EXPECT_EQ(reference, got) << runtime::to_string(mode)
+                                  << " executor, pool size " << pool_size;
+      }
     }
   }
+}
+
+// The sync executor's pool schedule samples through the same closure as
+// every other schedule, so the sampler counter and the sample-stage
+// gauge see every batch it builds.
+TEST(ObsContract, SyncExecutorPublishesSamplerMetrics) {
+  const graph::Dataset ds = small_dataset();
+  runtime::RuntimeBackend backend(ds, hw::make_profile("rtx4090"));
+  runtime::TrainConfig config = runtime::template_pyg();  // unbiased
+  config.batch_size = 128;
+  runtime::RunOptions opts;
+  opts.epochs = 2;
+  opts.seed = 11;
+  opts.pipeline.mode = runtime::PipelineMode::kSync;
+  support::ThreadPool pool(2);
+  opts.pool = &pool;
+
+  const TelemetryOn on;
+  MetricsRegistry::global().reset_values();
+  const runtime::TrainReport r = backend.run(config, opts);
+
+  std::map<std::string, double> got;
+  for (const auto& s : MetricsRegistry::global().snapshot()) {
+    got[s.name] = s.value;
+  }
+  const std::string batches_series =
+      "gnav_sampler_batches_total{sampler=\"" +
+      sampling::to_string(config.sampler) + "\"}";
+  ASSERT_EQ(got.count(batches_series), 1u) << batches_series;
+  EXPECT_EQ(got.at(batches_series),
+            static_cast<double>(opts.epochs) *
+                static_cast<double>(r.iterations_per_epoch));
+  const std::string sample_gauge =
+      "gnav_stage_busy_seconds_total{stage=\"sample\"}";
+  ASSERT_EQ(got.count(sample_gauge), 1u) << sample_gauge;
+  EXPECT_GT(got.at(sample_gauge), 0.0);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Tests for the pipelined epoch executor subsystem: the bounded MPMC
-// StagedQueue, the run_pipelined_epoch stage driver (ordering, bounded
-// prefetch, error propagation), the env-knob validation, and the
-// headline contract — the async executor's TrainReport is bit-identical
-// to the synchronous executor's for every template configuration at any
-// worker count and prefetch depth (only wall-clock observables differ).
+// Tests for the epoch executor subsystem: the bounded MPMC StagedQueue,
+// the run_pipelined_epoch driver under all of its schedules (ordering,
+// bounded prefetch, error propagation, the sync pool schedule's
+// bit-identical mini-batch stream at any pool size), the env-knob
+// validation, and the headline contract — the async executor's
+// TrainReport is bit-identical to the synchronous executor's for every
+// template configuration at any worker count and prefetch depth (only
+// wall-clock observables differ).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,10 +16,13 @@
 #include <vector>
 
 #include "graph/dataset.hpp"
+#include "graph/generators.hpp"
 #include "hw/platform.hpp"
 #include "runtime/backend.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/templates.hpp"
+#include "sampling/batcher.hpp"
+#include "sampling/sampler_factory.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/staged_queue.hpp"
@@ -26,7 +31,7 @@ namespace gnav {
 namespace {
 
 using runtime::PipelineConfig;
-using runtime::PipelineEpochStats;
+using runtime::PipelineReport;
 using runtime::PipelineMode;
 using support::StagedQueue;
 
@@ -175,39 +180,68 @@ PipelineConfig async_config(std::size_t workers, std::size_t depth) {
   return c;
 }
 
+PipelineConfig sync_config() { return PipelineConfig{}; }
+
+support::ThreadPool& test_pool() {
+  static support::ThreadPool pool(4);
+  return pool;
+}
+
+/// One of the executor's schedules: the mode plus whether sample(i) and
+/// prepare(i) chain on one producer.
+struct Schedule {
+  const char* name;
+  PipelineConfig config;
+  bool chain;
+};
+
+std::vector<Schedule> all_schedules(std::size_t workers, std::size_t depth) {
+  return {{"sync-chained", sync_config(), true},
+          {"sync-pool", sync_config(), false},
+          {"async-chained", async_config(workers, depth), true},
+          {"async", async_config(workers, depth), false}};
+}
+
 TEST(PipelinedEpoch, StagesRunInStrictBatchOrderAtAnyShape) {
   for (const std::size_t workers : {1u, 2u, 8u}) {
     for (const std::size_t depth : {1u, 2u, 4u}) {
-      constexpr std::size_t kBatches = 200;
-      std::atomic<std::size_t> sampled{0};
-      std::size_t prepared_next = 0;  // only touched by transfer stage
-      std::vector<int> consumed;
-      const auto stats = runtime::run_pipelined_epoch<int, int>(
-          kBatches, async_config(workers, depth),
-          /*chain_sample_and_prepare=*/false,
-          [&](std::size_t i) {
-            ++sampled;
-            // Jitter completion order so the reorder ring does real work.
-            if (i % 7 == 0) {
-              std::this_thread::sleep_for(std::chrono::microseconds(200));
-            }
-            return static_cast<int>(i);
-          },
-          [&](std::size_t i, int&& v) {
-            EXPECT_EQ(prepared_next, i) << "transfer stage out of order";
-            ++prepared_next;
-            return v * 3;
-          },
-          [&](std::size_t i, int&& v) {
-            EXPECT_EQ(static_cast<int>(i) * 3, v);
-            consumed.push_back(v);
-          });
-      EXPECT_EQ(sampled.load(), kBatches);
-      EXPECT_EQ(prepared_next, kBatches);
-      ASSERT_EQ(consumed.size(), kBatches);
-      EXPECT_EQ(stats.batches, kBatches);
-      EXPECT_LE(stats.sampler_workers, std::max<std::size_t>(workers, 1));
-      EXPECT_GT(stats.wall_s, 0.0);
+      for (const Schedule& schedule : all_schedules(workers, depth)) {
+        SCOPED_TRACE(schedule.name);
+        constexpr std::size_t kBatches = 200;
+        std::atomic<std::size_t> sampled{0};
+        std::size_t prepared_next = 0;  // only touched by one stage
+        std::vector<int> consumed;
+        const auto stats = runtime::run_pipelined_epoch<int, int>(
+            kBatches, schedule.config, test_pool(), schedule.chain,
+            [&](std::size_t i) {
+              ++sampled;
+              // Jitter completion order so the reorder ring does real
+              // work.
+              if (i % 7 == 0) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+              }
+              return static_cast<int>(i);
+            },
+            [&](std::size_t i, int&& v) {
+              EXPECT_EQ(prepared_next, i) << "transfer stage out of order";
+              ++prepared_next;
+              return v * 3;
+            },
+            [&](std::size_t i, int&& v) {
+              EXPECT_EQ(static_cast<int>(i) * 3, v);
+              consumed.push_back(v);
+            });
+        EXPECT_EQ(sampled.load(), kBatches);
+        EXPECT_EQ(prepared_next, kBatches);
+        ASSERT_EQ(consumed.size(), kBatches);
+        EXPECT_EQ(stats.batches, kBatches);
+        EXPECT_EQ(stats.executor,
+                  runtime::to_string(schedule.config.mode));
+        if (schedule.config.mode == PipelineMode::kAsync) {
+          EXPECT_LE(stats.sampler_workers, std::max<std::size_t>(workers, 1));
+        }
+        EXPECT_GT(stats.measured_wall_s, 0.0);
+      }
     }
   }
 }
@@ -217,7 +251,7 @@ TEST(PipelinedEpoch, PrefetchDepthBoundsInFlightBatches) {
   std::atomic<int> in_flight{0};
   std::atomic<int> max_in_flight{0};
   const auto stats = runtime::run_pipelined_epoch<int, int>(
-      100, async_config(8, kDepth), false,
+      100, async_config(8, kDepth), test_pool(), false,
       [&](std::size_t i) {
         const int now = ++in_flight;
         int seen = max_in_flight.load();
@@ -239,27 +273,76 @@ TEST(PipelinedEpoch, PrefetchDepthBoundsInFlightBatches) {
 
 TEST(PipelinedEpoch, ChainModeSamplesAfterPreviousPrepare) {
   // Biased-sampling mode: sample(i) must observe prepare(i-1)'s side
-  // effects, i.e. they alternate strictly on one producer thread.
-  std::atomic<std::size_t> prepares_done{0};
+  // effects, i.e. they alternate strictly on one producer.
+  for (const PipelineConfig& config : {sync_config(), async_config(4, 2)}) {
+    SCOPED_TRACE(runtime::to_string(config.mode));
+    std::atomic<std::size_t> prepares_done{0};
+    const auto stats = runtime::run_pipelined_epoch<int, int>(
+        64, config, test_pool(), /*chain_sample_and_prepare=*/true,
+        [&](std::size_t i) {
+          EXPECT_EQ(prepares_done.load(), i)
+              << "sample(i) ran before prepare(i-1) finished";
+          return static_cast<int>(i);
+        },
+        [&](std::size_t, int&& v) {
+          ++prepares_done;
+          return v;
+        },
+        [](std::size_t, int&&) {});
+    EXPECT_EQ(stats.batches, 64u);
+    EXPECT_EQ(stats.sampler_workers, 1u);  // chain forces one producer
+  }
+}
+
+TEST(PipelinedEpoch, SyncChainedRunsInlineOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto on_caller = [&] {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  };
   const auto stats = runtime::run_pipelined_epoch<int, int>(
-      64, async_config(4, 2), /*chain_sample_and_prepare=*/true,
+      16, sync_config(), test_pool(), /*chain_sample_and_prepare=*/true,
       [&](std::size_t i) {
-        EXPECT_EQ(prepares_done.load(), i)
-            << "sample(i) ran before prepare(i-1) finished";
+        on_caller();
         return static_cast<int>(i);
       },
       [&](std::size_t, int&& v) {
-        ++prepares_done;
+        on_caller();
         return v;
       },
-      [](std::size_t, int&&) {});
-  EXPECT_EQ(stats.batches, 64u);
-  EXPECT_EQ(stats.sampler_workers, 1u);  // chain forces one producer
+      [&](std::size_t, int&&) { on_caller(); });
+  EXPECT_EQ(stats.executor, "sync");
+  EXPECT_EQ(stats.prefetch_depth, 0u);
+  EXPECT_EQ(stats.push_stalls + stats.pop_stalls, 0u);  // no queues
+}
+
+TEST(PipelinedEpoch, SyncPoolWindowBoundsInFlightBatches) {
+  // The sync pool schedule keeps max(8, 4 * pool size) batches built
+  // ahead of the one the caller trains on.
+  support::ThreadPool pool(2);
+  const std::size_t window = 8;
+  std::atomic<std::size_t> started{0};
+  std::size_t consumed = 0;
+  const auto stats = runtime::run_pipelined_epoch<int, int>(
+      64, sync_config(), pool, /*chain_sample_and_prepare=*/false,
+      [&](std::size_t i) {
+        ++started;
+        return static_cast<int>(i);
+      },
+      [](std::size_t, int&& v) { return v; },
+      [&](std::size_t, int&&) {
+        // Batch `consumed` is being trained: at most `window` batches
+        // beyond it can have been submitted.
+        EXPECT_LE(started.load(), consumed + 1 + window);
+        ++consumed;
+      });
+  EXPECT_EQ(stats.sampler_workers, 2u);
+  EXPECT_EQ(stats.prefetch_depth, window);
+  EXPECT_EQ(consumed, 64u);
 }
 
 TEST(PipelinedEpoch, BackpressureIsObservableWhenComputeIsSlow) {
   const auto stats = runtime::run_pipelined_epoch<int, int>(
-      60, async_config(4, 2), false,
+      60, async_config(4, 2), test_pool(), false,
       [](std::size_t i) { return static_cast<int>(i); },
       [](std::size_t, int&& v) { return v; },
       [](std::size_t, int&&) {
@@ -267,68 +350,142 @@ TEST(PipelinedEpoch, BackpressureIsObservableWhenComputeIsSlow) {
       });
   // Slow consumer: the prepared queue fills up and upstream stalls.
   EXPECT_GT(stats.push_stalls, 0u);
-  EXPECT_GT(stats.mean_prepared_occupancy, 0.0);
-  EXPECT_GT(stats.compute_busy_s, 0.0);
+  EXPECT_GT(stats.mean_queue_occupancy, 0.0);
+  EXPECT_GT(stats.compute_wall_s, 0.0);
+}
+
+/// Runs a 500-batch epoch under `schedule` whose stage `throwing_stage`
+/// (0 sample, 1 prepare, 2 consume) throws at batch `at`, and checks the
+/// error propagates only after every in-flight callback returned: the
+/// callbacks reference this frame, so none may outlive the call.
+void expect_stage_error_propagates(const Schedule& schedule,
+                                   int throwing_stage, std::size_t at) {
+  SCOPED_TRACE(schedule.name);
+  std::atomic<int> running{0};
+  const auto stage = [&](int which, std::size_t i) {
+    ++running;
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    --running;
+    if (which == throwing_stage && i == at) throw Error("stage boom");
+  };
+  EXPECT_THROW((runtime::run_pipelined_epoch<int, int>(
+                   500, schedule.config, test_pool(), schedule.chain,
+                   [&](std::size_t i) {
+                     stage(0, i);
+                     return static_cast<int>(i);
+                   },
+                   [&](std::size_t i, int&& v) {
+                     stage(1, i);
+                     return v;
+                   },
+                   [&](std::size_t i, int&&) { stage(2, i); })),
+               Error);
+  EXPECT_EQ(running.load(), 0);
 }
 
 TEST(PipelinedEpoch, ConsumerExceptionShutsDownAndPropagates) {
-  EXPECT_THROW(
-      (runtime::run_pipelined_epoch<int, int>(
-          500, async_config(4, 4), false,
-          [](std::size_t i) { return static_cast<int>(i); },
-          [](std::size_t, int&& v) { return v; },
-          [](std::size_t i, int&&) {
-            if (i == 3) throw Error("consumer boom");
-          })),
-      Error);
+  for (const Schedule& schedule : all_schedules(4, 4)) {
+    expect_stage_error_propagates(schedule, 2, 3);
+  }
 }
 
 TEST(PipelinedEpoch, SamplerExceptionShutsDownAndPropagates) {
-  for (const bool chain : {false, true}) {
-    EXPECT_THROW(
-        (runtime::run_pipelined_epoch<int, int>(
-            500, async_config(2, 2), chain,
-            [](std::size_t i) {
-              if (i == 17) throw Error("sampler boom");
-              return static_cast<int>(i);
-            },
-            [](std::size_t, int&& v) { return v; },
-            [](std::size_t, int&&) {})),
-        Error);
+  for (const Schedule& schedule : all_schedules(2, 2)) {
+    expect_stage_error_propagates(schedule, 0, 17);
   }
 }
 
 TEST(PipelinedEpoch, TransferExceptionShutsDownAndPropagates) {
-  EXPECT_THROW(
-      (runtime::run_pipelined_epoch<int, int>(
-          500, async_config(2, 4), false,
-          [](std::size_t i) { return static_cast<int>(i); },
-          [](std::size_t i, int&& v) {
-            if (i == 29) throw Error("transfer boom");
-            return v;
-          },
-          [](std::size_t, int&&) {})),
-      Error);
+  for (const Schedule& schedule : all_schedules(2, 4)) {
+    expect_stage_error_propagates(schedule, 1, 29);
+  }
 }
 
 TEST(PipelinedEpoch, ZeroBatchesIsANoOp) {
-  const auto stats = runtime::run_pipelined_epoch<int, int>(
-      0, async_config(2, 2), false,
-      [](std::size_t i) { return static_cast<int>(i); },
-      [](std::size_t, int&& v) { return v; }, [](std::size_t, int&&) {});
-  EXPECT_EQ(stats.batches, 0u);
+  for (const Schedule& schedule : all_schedules(2, 2)) {
+    const auto stats = runtime::run_pipelined_epoch<int, int>(
+        0, schedule.config, test_pool(), schedule.chain,
+        [](std::size_t i) { return static_cast<int>(i); },
+        [](std::size_t, int&& v) { return v; }, [](std::size_t, int&&) {});
+    EXPECT_EQ(stats.batches, 0u);
+  }
 }
 
-TEST(PipelineEpochStats, OverlapEfficiencyEndpoints) {
-  PipelineEpochStats s;
-  s.sample_busy_s = 1.0;
-  s.transfer_busy_s = 0.5;
-  s.compute_busy_s = 2.0;
-  s.wall_s = 3.5;  // fully serial
+// The per-batch task_seed determinism contract through the sync pool
+// schedule: for every sampler kind the epoch's mini-batch stream must be
+// bit-identical whether batches build on 1, 2, or 8 pool threads.
+TEST(PipelinedEpoch, SyncPoolStreamBitIdenticalAcrossPoolSizes) {
+  Rng graph_rng(42);
+  const graph::CsrGraph g =
+      graph::power_law_configuration(500, 2.2, 3, 60, graph_rng);
+  Rng seed_rng(59);
+  std::vector<graph::NodeId> train;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) train.push_back(v);
+  sampling::SeedBatcher batcher(train, 64);
+  const auto seed_batches = batcher.epoch_batches(seed_rng);
+  const std::uint64_t epoch_seed = 0xEB0C5EEDULL;
+
+  using sampling::MiniBatch;
+  using sampling::SamplerKind;
+  for (SamplerKind kind :
+       {SamplerKind::kNodeWise, SamplerKind::kLayerWise,
+        SamplerKind::kSaintWalk, SamplerKind::kSaintNode,
+        SamplerKind::kSaintEdge, SamplerKind::kCluster}) {
+    sampling::SamplerSettings settings;
+    settings.kind = kind;
+    settings.hop_list = {4, 4};
+    const auto sampler = sampling::make_sampler(settings, nullptr);
+
+    std::vector<MiniBatch> reference;
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      support::ThreadPool pool(threads);
+      std::vector<MiniBatch> stream;
+      runtime::run_pipelined_epoch<MiniBatch, MiniBatch>(
+          seed_batches.size(), sync_config(), pool,
+          /*chain_sample_and_prepare=*/false,
+          [&](std::size_t i) {
+            Rng rng(support::task_seed(epoch_seed, i));
+            return sampler->sample(g, seed_batches[i], rng);
+          },
+          [](std::size_t, MiniBatch&& mb) { return std::move(mb); },
+          [&](std::size_t, MiniBatch&& mb) {
+            stream.push_back(std::move(mb));
+          });
+      if (threads == 1u) {
+        reference = std::move(stream);
+        continue;
+      }
+      const std::string kind_name = sampling::to_string(kind);
+      ASSERT_EQ(stream.size(), reference.size()) << kind_name;
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        EXPECT_EQ(stream[i].nodes, reference[i].nodes)
+            << kind_name << " batch " << i << " @" << threads;
+        EXPECT_EQ(stream[i].seed_local, reference[i].seed_local)
+            << kind_name << " batch " << i;
+        EXPECT_EQ(stream[i].subgraph.indptr(),
+                  reference[i].subgraph.indptr())
+            << kind_name << " batch " << i;
+        EXPECT_EQ(stream[i].subgraph.indices(),
+                  reference[i].subgraph.indices())
+            << kind_name << " batch " << i;
+        EXPECT_DOUBLE_EQ(stream[i].sampling_work,
+                         reference[i].sampling_work)
+            << kind_name << " batch " << i;
+      }
+    }
+  }
+}
+
+TEST(PipelineReport, OverlapEfficiencyEndpoints) {
+  PipelineReport s;
+  s.sample_wall_s = 1.0;
+  s.transfer_wall_s = 0.5;
+  s.compute_wall_s = 2.0;
+  s.measured_wall_s = 3.5;  // fully serial
   EXPECT_DOUBLE_EQ(s.overlap_efficiency(), 0.0);
-  s.wall_s = 2.0;  // wall == bottleneck stage: perfect overlap
+  s.measured_wall_s = 2.0;  // wall == bottleneck stage: perfect overlap
   EXPECT_DOUBLE_EQ(s.overlap_efficiency(), 1.0);
-  s.wall_s = 2.75;  // halfway
+  s.measured_wall_s = 2.75;  // halfway
   EXPECT_NEAR(s.overlap_efficiency(), 0.5, 1e-12);
 }
 

@@ -14,7 +14,6 @@
 #include "sampling/batcher.hpp"
 #include "sampling/sampler_factory.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 
 namespace gnav::sampling {
 namespace {
@@ -259,60 +258,6 @@ TEST(SamplerEdgeCases, FullyBiasedSamplingWithEmptyPreferenceSet) {
     EXPECT_NO_THROW(mb.validate(g)) << to_string(kind);
     EXPECT_GE(mb.num_nodes(),
               static_cast<std::int64_t>(seeds.size())) << to_string(kind);
-  }
-}
-
-// ------------------------------------------------------------------
-// The per-batch task_seed determinism contract: for every sampler kind
-// the epoch's mini-batch stream must be bit-identical whether batches
-// build on 1, 2, or 8 pool threads.
-
-TEST(MiniBatchLoader, BitIdenticalAcrossThreadCounts) {
-  const auto g = test_graph();
-  Rng seed_rng(59);
-  std::vector<graph::NodeId> train;
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) train.push_back(v);
-  SeedBatcher batcher(train, 64);
-  const auto seed_batches = batcher.epoch_batches(seed_rng);
-  const std::uint64_t epoch_seed = 0xEB0C5EEDULL;
-
-  for (SamplerKind kind :
-       {SamplerKind::kNodeWise, SamplerKind::kLayerWise,
-        SamplerKind::kSaintWalk, SamplerKind::kSaintNode,
-        SamplerKind::kSaintEdge, SamplerKind::kCluster}) {
-    SamplerSettings settings;
-    settings.kind = kind;
-    settings.hop_list = {4, 4};
-    const auto sampler = make_sampler(settings, nullptr);
-
-    std::vector<MiniBatch> reference;
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      support::ThreadPool pool(threads);
-      MiniBatchLoader loader(*sampler, g, seed_batches, epoch_seed, pool,
-                             /*window=*/4);
-      std::vector<MiniBatch> stream;
-      while (!loader.done()) stream.push_back(loader.next());
-      if (threads == 1u) {
-        reference = std::move(stream);
-        continue;
-      }
-      ASSERT_EQ(stream.size(), reference.size()) << to_string(kind);
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        EXPECT_EQ(stream[i].nodes, reference[i].nodes)
-            << to_string(kind) << " batch " << i << " @" << threads;
-        EXPECT_EQ(stream[i].seed_local, reference[i].seed_local)
-            << to_string(kind) << " batch " << i;
-        EXPECT_EQ(stream[i].subgraph.indptr(),
-                  reference[i].subgraph.indptr())
-            << to_string(kind) << " batch " << i;
-        EXPECT_EQ(stream[i].subgraph.indices(),
-                  reference[i].subgraph.indices())
-            << to_string(kind) << " batch " << i;
-        EXPECT_DOUBLE_EQ(stream[i].sampling_work,
-                         reference[i].sampling_work)
-            << to_string(kind) << " batch " << i;
-      }
-    }
   }
 }
 
