@@ -153,6 +153,7 @@ void OverlapModel::fit(const std::vector<ProfiledRun>& runs) {
 
   ml::Matrix x;
   std::vector<double> y;
+  mean_log_ratio_ = 0.0;
   for (std::size_t i = 0; i < eligible.size(); ++i) {
     const ProfiledRun& run = *eligible[i];
     const OverlapExecutorShape shape{run.report.pipeline.prefetch_depth,
@@ -160,11 +161,24 @@ void OverlapModel::fit(const std::vector<ProfiledRun>& runs) {
     x.push_back(features(run.config, run.stats, shape, push_rates[i],
                          pop_rates[i], occ_fracs[i]));
     y.push_back(std::log(measured_ratio(run.report)));
+    mean_log_ratio_ += y.back();
   }
-  ridge_.fit(x, y);
+  mean_log_ratio_ /= n;
   rows_ = eligible.size();
   fitted_ = true;
-  log_info("overlap model fitted on ", rows_, " async-executor rows");
+  // With no more rows than unknowns the ridge solve interpolates the
+  // wall-clock noise of each row; a few ms of thread start-up on one
+  // short async run then swings the predicted ratio of every config that
+  // shares its features. Such a corpus only supports the mean.
+  slopes_fitted_ = rows_ >= min_slope_rows();
+  if (slopes_fitted_) {
+    ridge_.fit(x, y);
+    log_info("overlap model fitted on ", rows_, " async-executor rows");
+  } else {
+    log_info("overlap model fitted on ", rows_,
+             " async-executor rows: mean ratio only (slopes need ",
+             min_slope_rows(), ")");
+  }
 }
 
 double OverlapModel::predict_ratio(const runtime::TrainConfig& config,
@@ -172,6 +186,7 @@ double OverlapModel::predict_ratio(const runtime::TrainConfig& config,
                                    const OverlapExecutorShape& shape,
                                    double analytic_fallback) const {
   if (!fitted_) return clamp_ratio(analytic_fallback);
+  if (!slopes_fitted_) return clamp_ratio(std::exp(mean_log_ratio_));
   const auto f = features(config, stats, shape, mean_push_stall_rate_,
                           mean_pop_stall_rate_, mean_occupancy_frac_);
   return clamp_ratio(std::exp(ridge_.predict_one(f)));

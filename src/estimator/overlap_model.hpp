@@ -21,7 +21,10 @@
 // fit; sync rows (and rows with empty measured walls) are rejected by
 // row_eligible so they can never poison the regression. When no eligible
 // rows exist the model stays unfitted and every consumer falls back to
-// the analytic Eq. 4 ratio.
+// the analytic Eq. 4 ratio. A corpus with fewer eligible rows than the
+// slopes need (min_slope_rows) fits only the mean measured ratio: each
+// row's target carries milliseconds of scheduling noise, and a solve
+// with no spare rows would hand that noise to the decision maker.
 //
 // The regression is a ridge fit (normal equations, serial, no RNG), so
 // fit and predict are bit-identical at any thread count.
@@ -63,16 +66,22 @@ class OverlapModel {
   static double analytic_ratio(const runtime::TrainReport& report);
 
   /// Fits on the eligible subset of `runs`. Fewer than `min_rows()`
-  /// eligible rows leaves the model unfitted (analytic fallback).
+  /// eligible rows leaves the model unfitted (analytic fallback); fewer
+  /// than `min_slope_rows()` fits the mean measured ratio alone.
   void fit(const std::vector<ProfiledRun>& runs);
 
   bool is_fitted() const { return fitted_; }
   std::size_t training_rows() const { return rows_; }
   static std::size_t min_rows() { return 4; }
+  /// Eligible rows needed to fit per-feature slopes: the unknowns (one
+  /// coefficient per feature plus the intercept) and one residual degree
+  /// of freedom, so the solve cannot simply interpolate its rows.
+  static std::size_t min_slope_rows() { return feature_names().size() + 2; }
 
   /// Predicted measured-wall / serial-stage-work ratio for `config`
   /// running under an async executor of the given shape. Falls back to
-  /// `analytic_fallback` when unfitted. The result is clamped to
+  /// `analytic_fallback` when unfitted, and is the same mean ratio for
+  /// every config when fitted on fewer than `min_slope_rows()` rows. The result is clamped to
   /// [0.25, 1.5]: a pipeline cannot beat a 4x overlap of its serial
   /// work, and scheduling overhead rarely exceeds 1.5x.
   double predict_ratio(const runtime::TrainConfig& config,
@@ -98,8 +107,12 @@ class OverlapModel {
   double mean_push_stall_rate_ = 0.0;
   double mean_pop_stall_rate_ = 0.0;
   double mean_occupancy_frac_ = 0.0;
+  // Mean log measured ratio of the training rows: the whole model when
+  // too few rows were eligible to fit slopes.
+  double mean_log_ratio_ = 0.0;
   std::size_t rows_ = 0;
   bool fitted_ = false;
+  bool slopes_fitted_ = false;
 };
 
 }  // namespace gnav::estimator

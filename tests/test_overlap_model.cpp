@@ -1,17 +1,20 @@
 // Tests for the learned overlap-efficiency correction (the fitted
 // replacement for Eq. 4's analytic max()): row eligibility (sync rows
 // must never train or poison the fit), analytic fallback when no async
-// rows exist, fit/predict determinism, ratio clamping, the
-// PerfEstimator consultation path, and the headline out-of-sample claim
-// — on a held-out async sweep the fitted ratio tracks the measured
-// executor wall at least as well as the bare Eq. 4 max().
+// rows exist, the mean-ratio fit of a corpus too small for slopes,
+// fit/predict determinism, ratio clamping, the PerfEstimator
+// consultation path, and the headline out-of-sample claim — on a
+// held-out async sweep the fitted ratio tracks the measured executor
+// wall at least as well as the bare Eq. 4 max().
 //
 // The corpus is profiled once in a shared fixture with every other run
 // executed under the async executor (CollectorOptions::async_every), so
 // measured executor walls exist for half the rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "estimator/overlap_model.hpp"
 #include "estimator/perf_estimator.hpp"
@@ -145,6 +148,50 @@ TEST_F(OverlapModelFixture, FitPredictIsDeterministic) {
   }
 }
 
+TEST_F(OverlapModelFixture, FewRowsFitTheMeanRatioOnly) {
+  // Below min_slope_rows() the fit is the mean measured log-ratio, the
+  // same for every config and shape: no row's scheduling noise can favor
+  // one config over another.
+  const auto rows = async_rows();
+  ASSERT_GE(rows.size(), OverlapModel::min_rows());
+  ASSERT_LT(rows.size(), OverlapModel::min_slope_rows());
+  OverlapModel model(*hw_);
+  model.fit(rows);
+  ASSERT_TRUE(model.is_fitted());
+  double mean_log = 0.0;
+  for (const auto& run : rows) {
+    mean_log += std::log(OverlapModel::measured_ratio(run.report));
+  }
+  const double expected =
+      std::exp(mean_log / static_cast<double>(rows.size()));
+  Rng rng(11);
+  for (int i = 0; i < 8; ++i) {
+    const auto config = random_config(rng);
+    for (const std::size_t depth : {1u, 8u}) {
+      EXPECT_DOUBLE_EQ(
+          model.predict_ratio(config, *stats_, {depth, 2}, 0.8),
+          std::clamp(expected, 0.25, 1.5));
+    }
+  }
+
+  // With spare rows the slopes are fitted: the prediction moves with
+  // the config and executor shape.
+  std::vector<ProfiledRun> doubled = rows;
+  doubled.insert(doubled.end(), rows.begin(), rows.end());
+  ASSERT_GE(doubled.size(), OverlapModel::min_slope_rows());
+  OverlapModel sloped(*hw_);
+  sloped.fit(doubled);
+  ASSERT_TRUE(sloped.is_fitted());
+  std::set<double> seen;
+  for (int i = 0; i < 8; ++i) {
+    const auto config = random_config(rng);
+    for (const std::size_t depth : {1u, 8u}) {
+      seen.insert(sloped.predict_ratio(config, *stats_, {depth, 2}, 0.8));
+    }
+  }
+  EXPECT_GT(seen.size(), 1u);
+}
+
 TEST_F(OverlapModelFixture, DegenerateShapeIsFlooredNotUb) {
   // A sync report's defaults are depth 0 / workers 0; forwarding them
   // into a prediction must floor to 1, never hit clamp(lo > hi).
@@ -194,7 +241,8 @@ TEST_F(OverlapModelFixture, FittedTracksMeasuredAtLeastAsWellAsAnalytic) {
   // "No worse" with a small tolerance for wall-clock measurement noise;
   // in practice the fitted arm wins by a wide margin here because the
   // measured ratio sits near 1 (little real overlap on a small host)
-  // while Eq. 4 predicts a strong one.
+  // while Eq. 4 predicts a strong one. Six training rows are below
+  // min_slope_rows(), so the fitted arm is their mean measured ratio.
   EXPECT_LE(mae_fit, mae_analytic + 0.02);
 }
 
