@@ -4,8 +4,8 @@
 // rows exist, the mean-ratio fit of a corpus too small for slopes,
 // fit/predict determinism, ratio clamping, the PerfEstimator
 // consultation path, and the headline out-of-sample claim — on a
-// held-out async sweep the fitted ratio tracks the measured executor
-// wall at least as well as the bare Eq. 4 max().
+// held-out async sweep the fitted ratio, mean and sloped alike, tracks
+// the measured executor wall at least as well as the bare Eq. 4 max().
 //
 // The corpus is profiled once in a shared fixture with every other run
 // executed under the async executor (CollectorOptions::async_every), so
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "estimator/overlap_model.hpp"
 #include "estimator/perf_estimator.hpp"
@@ -52,6 +53,39 @@ class OverlapModelFixture : public ::testing::Test {
       if (OverlapModel::row_eligible(run)) out.push_back(run);
     }
     return out;
+  }
+
+  // Out-of-sample check shared by the mean and sloped arms: fits on
+  // every other eligible row of `rows` and returns the held-out mean
+  // absolute error of the fitted and the Eq. 4 ratios against the
+  // measured one. `train_rows` receives the training half's size.
+  static std::pair<double, double> holdout_mae(
+      const std::vector<ProfiledRun>& rows, std::size_t* train_rows) {
+    std::vector<ProfiledRun> train;
+    std::vector<ProfiledRun> holdout;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      (i % 2 == 0 ? train : holdout).push_back(rows[i]);
+    }
+    *train_rows = train.size();
+    OverlapModel model(*hw_);
+    model.fit(train);
+    EXPECT_TRUE(model.is_fitted());
+
+    double mae_fit = 0.0;
+    double mae_analytic = 0.0;
+    for (const auto& run : holdout) {
+      const auto& p = run.report.pipeline;
+      const double measured = OverlapModel::measured_ratio(run.report);
+      const double analytic = OverlapModel::analytic_ratio(run.report);
+      const OverlapExecutorShape shape{p.prefetch_depth, p.sampler_workers};
+      const double fitted =
+          model.predict_ratio(run.config, run.stats, shape, analytic);
+      mae_fit += std::abs(fitted - measured);
+      mae_analytic += std::abs(analytic - measured);
+    }
+    const auto n = static_cast<double>(std::max<std::size_t>(
+        holdout.size(), 1));
+    return {mae_fit / n, mae_analytic / n};
   }
 
   static std::vector<ProfiledRun> sync_rows() {
@@ -215,34 +249,35 @@ TEST_F(OverlapModelFixture, FittedTracksMeasuredAtLeastAsWellAsAnalytic) {
   // systematically over-promises overlap the executor cannot deliver.
   const auto rows = async_rows();
   ASSERT_GE(rows.size(), 8u);
-  std::vector<ProfiledRun> train;
-  std::vector<ProfiledRun> holdout;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    (i % 2 == 0 ? train : holdout).push_back(rows[i]);
-  }
-  OverlapModel model(*hw_);
-  model.fit(train);
-  ASSERT_TRUE(model.is_fitted());
-
-  double mae_fit = 0.0;
-  double mae_analytic = 0.0;
-  for (const auto& run : holdout) {
-    const auto& p = run.report.pipeline;
-    const double measured = OverlapModel::measured_ratio(run.report);
-    const double analytic = OverlapModel::analytic_ratio(run.report);
-    const OverlapExecutorShape shape{p.prefetch_depth, p.sampler_workers};
-    const double fitted =
-        model.predict_ratio(run.config, run.stats, shape, analytic);
-    mae_fit += std::abs(fitted - measured);
-    mae_analytic += std::abs(analytic - measured);
-  }
-  mae_fit /= static_cast<double>(holdout.size());
-  mae_analytic /= static_cast<double>(holdout.size());
+  std::size_t train_rows = 0;
+  const auto [mae_fit, mae_analytic] = holdout_mae(rows, &train_rows);
   // "No worse" with a small tolerance for wall-clock measurement noise;
   // in practice the fitted arm wins by a wide margin here because the
   // measured ratio sits near 1 (little real overlap on a small host)
   // while Eq. 4 predicts a strong one. Six training rows are below
   // min_slope_rows(), so the fitted arm is their mean measured ratio.
+  EXPECT_LT(train_rows, OverlapModel::min_slope_rows());
+  EXPECT_LE(mae_fit, mae_analytic + 0.02);
+}
+
+TEST_F(OverlapModelFixture, FittedSlopesTrackMeasuredAtLeastAsWellAsAnalytic) {
+  // The same out-of-sample bar for the ridge slopes, which a corpus of
+  // min_slope_rows() or more async rows fits: an all-async sweep whose
+  // training half holds exactly that many rows, the fewest a slope fit
+  // ever sees.
+  CollectorOptions opts;
+  opts.configs_per_dataset =
+      2 * static_cast<int>(OverlapModel::min_slope_rows());
+  opts.epochs = 1;
+  opts.seed = 78;
+  opts.async_every = 1;
+  std::vector<ProfiledRun> rows;
+  for (auto& run : collect_profiles(*dataset_, *hw_, opts)) {
+    if (OverlapModel::row_eligible(run)) rows.push_back(std::move(run));
+  }
+  std::size_t train_rows = 0;
+  const auto [mae_fit, mae_analytic] = holdout_mae(rows, &train_rows);
+  ASSERT_GE(train_rows, OverlapModel::min_slope_rows());
   EXPECT_LE(mae_fit, mae_analytic + 0.02);
 }
 
