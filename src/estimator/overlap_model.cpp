@@ -17,10 +17,10 @@ constexpr double kMaxRatio = 1.5;
 
 // Ridge penalty on the centered (not standardized) feature columns, which
 // are few and partially collinear (stage shares sum to ~1). A slope fit
-// sees as few as min_slope_rows() rows of wall-clock targets; near-OLS
-// (1e-2) let one row's scheduling noise set a slope, and the held-out
-// error then exceeded Eq. 4's in 3 of 40 sweeps. 1.0 shrinks the share
-// slopes toward the intercept (OverlapModelFixture.FittedSlopes*).
+// sees as few as min_slope_rows() rows of wall-clock targets, and a
+// near-OLS penalty lets one row's scheduling noise set a slope (at 1e-2
+// the held-out error exceeded Eq. 4's in 3 of 40 sweeps). 1.0 shrinks
+// the share slopes toward the intercept (OverlapModelFixture.FittedSlopes*).
 constexpr double kRidgeLambda = 1.0;
 
 double clamp_ratio(double r) { return std::clamp(r, kMinRatio, kMaxRatio); }

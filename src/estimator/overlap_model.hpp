@@ -81,9 +81,10 @@ class OverlapModel {
   /// Predicted measured-wall / serial-stage-work ratio for `config`
   /// running under an async executor of the given shape. Falls back to
   /// `analytic_fallback` when unfitted, and is the same mean ratio for
-  /// every config when fitted on fewer than `min_slope_rows()` rows. The result is clamped to
-  /// [0.25, 1.5]: a pipeline cannot beat a 4x overlap of its serial
-  /// work, and scheduling overhead rarely exceeds 1.5x.
+  /// every config when fitted on fewer than `min_slope_rows()` rows.
+  /// The result is clamped to [0.25, 1.5]: a pipeline cannot beat a 4x
+  /// overlap of its serial work, and scheduling overhead rarely exceeds
+  /// 1.5x.
   double predict_ratio(const runtime::TrainConfig& config,
                        const DatasetStats& stats,
                        const OverlapExecutorShape& shape,
